@@ -5,17 +5,13 @@
 
 Run from the root of the repository. The benchmark binary is built with
 cargo (target directory: $CARGO_TARGET_DIR, else .bench_build) and run with
-the same arguments. Its last output line is the result object; in an
-untraced run this script adds `peak_rss_mb`, the peak resident set of the
-benchmark process, read from the operating system when the process ends.
-The script exits with the benchmark's exit code, or 2 when the build fails.
+the same arguments; its last output line is the result object. The script
+exits with the benchmark's exit code, or 2 when the build fails.
 """
 
-import json
 import os
 import subprocess
 import sys
-import threading
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 # The whole run, build excluded, must end well within three minutes.
@@ -23,12 +19,6 @@ RUN_TIMEOUT_S = 170
 
 
 def main():
-    args = sys.argv[1:]
-    trace = False
-    if "--trace" in args:
-        i = args.index("--trace")
-        trace = i + 1 < len(args) and args[i + 1] == "1"
-
     target = os.environ.get("CARGO_TARGET_DIR", ".bench_build")
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     build = subprocess.run(
@@ -49,29 +39,11 @@ def main():
         return 2
 
     binary = os.path.join(target, "release", "perfbench")
-    child = subprocess.Popen([binary, *args], stdout=subprocess.PIPE)
-    killer = threading.Timer(RUN_TIMEOUT_S, child.kill)
-    killer.start()
     try:
-        out = child.stdout.read().decode()
-        _, status, usage = os.wait4(child.pid, 0)
-    finally:
-        killer.cancel()
-    child.returncode = os.waitstatus_to_exitcode(status)
-
-    lines = out.strip().splitlines()
-    for line in lines[:-1]:
-        print(line)
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, ValueError):
-        print(f"run.py: benchmark exited with {child.returncode} and no result", file=sys.stderr)
-        return child.returncode or 1
-    if not trace:
-        # ru_maxrss is in KiB on Linux.
-        result["metrics"]["peak_rss_mb"] = {"value": usage.ru_maxrss / 1024.0, "unit": "MB"}
-    print(json.dumps(result))
-    return child.returncode
+        return subprocess.run([binary, *sys.argv[1:]], timeout=RUN_TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        print(f"run.py: the benchmark ran longer than {RUN_TIMEOUT_S} s", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

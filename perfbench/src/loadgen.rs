@@ -1,9 +1,13 @@
 //! Open-loop query generator over one daemon connection.
 //!
 //! The connection is split with [`TcpStream::try_clone`]: a sender thread
-//! writes requests on a fixed schedule (request `i` is due at `i / rate`
-//! seconds after the start, whether or not earlier replies arrived) and a
-//! receiver thread reads replies. Latency is timed from each request's
+//! writes requests on a fixed schedule, whether or not earlier replies
+//! arrived, and a receiver thread reads replies. The schedule is a Poisson
+//! process: the gaps between due times are exponential with mean
+//! `1 / rate`, drawn from a seeded RNG, as from many independent users. A
+//! strictly periodic schedule would lock into step with the server's
+//! batch window and split latencies into two clusters whose boundary
+//! moves the median from run to run. Latency is timed from each request's
 //! *scheduled* send time, so a stall also charges the requests queued
 //! behind it. How late the sender itself ran is kept per request, so a
 //! run in which the generator could not keep its schedule can be told
@@ -19,6 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use lash_datagen::Rng;
 use lash_encoding::{frame, DecodeError};
 use lash_index::{Query, QueryReply};
 use lash_serve::proto::{self, Request};
@@ -125,8 +130,14 @@ struct Receipts {
 }
 
 /// Connects, performs the protocol handshake, and starts sending
-/// `pool[i % pool.len()]` as request `i` at `rate` requests per second.
-pub fn start(addr: SocketAddr, pool: Arc<Vec<Query>>, rate: f64) -> std::io::Result<Running> {
+/// `pool[i % pool.len()]` as request `i`, at `rate` requests per second on
+/// average, on the schedule `seed` draws.
+pub fn start(
+    addr: SocketAddr,
+    pool: Arc<Vec<Query>>,
+    rate: f64,
+    seed: u64,
+) -> std::io::Result<Running> {
     assert!(
         rate > 0.0 && !pool.is_empty(),
         "a load needs a rate and queries"
@@ -154,7 +165,7 @@ pub fn start(addr: SocketAddr, pool: Arc<Vec<Query>>, rate: f64) -> std::io::Res
     let sent = Arc::new(AtomicU64::new(0));
     let sender_done = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
-    let interval_ns = 1e9 / rate;
+    let mean_gap_ns = 1e9 / rate;
 
     let sender = {
         let (stop, sent, done, pool) = (
@@ -175,33 +186,35 @@ pub fn start(addr: SocketAddr, pool: Arc<Vec<Query>>, rate: f64) -> std::io::Res
             let mut records: Vec<Record> = Vec::new();
             let mut wire = Vec::new();
             let mut payload = Vec::new();
+            let mut rng = Rng::new(seed);
             let mut next = 0u64;
+            let mut due = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let now = started.elapsed().as_nanos() as u64;
-                let due = (next as f64 * interval_ns) as u64;
                 if now < due {
                     std::thread::sleep(Duration::from_nanos(due - now));
                     continue;
                 }
                 // Write every request that has come due in one call.
                 wire.clear();
-                let first = next;
-                while (next as f64 * interval_ns) as u64 <= now {
+                let first = records.len();
+                while due <= now {
                     let query = pool[(next % pool.len() as u64) as usize].clone();
                     proto::encode_request(&Request::new(next, query), &mut payload);
                     frame::encode_frame(&payload, &mut wire);
-                    next += 1;
-                }
-                stream.write_all(&wire)?;
-                let written = started.elapsed().as_nanos() as u64;
-                for i in first..next {
-                    let due = (i as f64 * interval_ns) as u64;
                     records.push(Record {
                         due_ns: due,
-                        late_ns: written.saturating_sub(due),
+                        late_ns: 0,
                         latency_ns: None,
                         error: false,
                     });
+                    next += 1;
+                    due += (-(1.0 - rng.f64()).ln() * mean_gap_ns) as u64;
+                }
+                stream.write_all(&wire)?;
+                let written = started.elapsed().as_nanos() as u64;
+                for r in &mut records[first..] {
+                    r.late_ns = written.saturating_sub(r.due_ns);
                 }
                 sent.store(next, Ordering::Release);
             }

@@ -16,6 +16,7 @@
 //! removes it at the end.
 
 mod loadgen;
+mod rss;
 mod stats;
 mod trace;
 mod workload;
@@ -25,9 +26,8 @@ use std::process::ExitCode;
 
 use crate::workload::Outcome;
 
-/// End-to-end metrics, printed by the untraced run (`peak_rss_mb` is added
-/// by `run.py`, which sees the process from outside).
-pub const END_TO_END: &[&str] = &["setup_s", "mine_s", "query_p50_us", "refresh_s"];
+/// End-to-end metrics, printed by the untraced run.
+pub const END_TO_END: &[&str] = &["setup_s", "mine_s", "refresh_s", "peak_rss_mb"];
 
 /// Per-layer metrics, printed by the traced run.
 pub const PER_LAYER: &[&str] = &[
@@ -66,6 +66,7 @@ pub const PER_LAYER: &[&str] = &[
     "index.exec_us.top_k",
     "index.exec_us.generalized",
     "query_max_qps",
+    "query_p50_us",
     "query_p90_us",
     "query_p99_us",
     "refresh_query_p99_us",
@@ -84,6 +85,10 @@ pub const PER_LAYER: &[&str] = &[
     "mine.samples",
     "refresh.rounds",
     "failed_ratio",
+    "rss.setup_mb",
+    "rss.mine_mb",
+    "rss.serve_mb",
+    "rss.refresh_mb",
     "self_ms.store",
     "self_ms.mapreduce",
     "self_ms.core",
@@ -115,6 +120,9 @@ pub struct Args {
     /// Flips the reference digest, so the correctness check must fail —
     /// used by the self-tests to show the check bites.
     pub corrupt_reference: bool,
+    /// Prints the reference digests instead of running the workload; the
+    /// benchmark starts itself this way in a child process.
+    pub reference: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -125,6 +133,7 @@ fn parse_args() -> Result<Args, String> {
         trace: false,
         tiny: false,
         corrupt_reference: false,
+        reference: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -144,6 +153,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--tiny" => args.tiny = true,
             "--corrupt-reference" => args.corrupt_reference = true,
+            "--reference" => args.reference = true,
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -168,6 +178,18 @@ fn main() -> ExitCode {
         eprintln!("perfbench: unknown workload {}", args.workload);
         return ExitCode::from(2);
     };
+    if args.reference {
+        return match workload::reference_digests(&spec, args.seed) {
+            Ok((base, grown)) => {
+                println!("{base} {grown}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("perfbench: {e}");
+                ExitCode::from(1)
+            }
+        };
+    }
     let run_dir = PathBuf::from(".bench_runs").join(format!(
         "{}-s{}-p{}",
         args.workload,

@@ -29,38 +29,6 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Splits `latencies` (keyed by due time) into `windows` equal windows of
-/// `[from, to)` and returns the median over windows of each window's
-/// `q`-quantile, with the number of samples used. One hiccup of the host
-/// then moves one window's tail, not the reported figure.
-pub fn windowed_quantile(
-    records: &[crate::loadgen::Record],
-    from_ns: u64,
-    to_ns: u64,
-    windows: usize,
-    q: f64,
-) -> (f64, usize) {
-    let span = (to_ns.saturating_sub(from_ns) / windows.max(1) as u64).max(1);
-    let mut per: Vec<Vec<f64>> = vec![Vec::new(); windows.max(1)];
-    let mut samples = 0;
-    for r in records {
-        if r.due_ns < from_ns || r.due_ns >= to_ns || r.error {
-            continue;
-        }
-        if let Some(l) = r.latency_ns {
-            let w = (((r.due_ns - from_ns) / span) as usize).min(per.len() - 1);
-            per[w].push(l as f64 / 1e3);
-            samples += 1;
-        }
-    }
-    let tails: Vec<f64> = per
-        .iter()
-        .filter(|w| !w.is_empty())
-        .map(|w| quantile(w, q))
-        .collect();
-    (median(&tails), samples)
-}
-
 /// Named metrics with units, in name order.
 #[derive(Default)]
 pub struct Report {

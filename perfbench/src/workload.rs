@@ -1,34 +1,37 @@
 //! The three workloads. Each one runs the daemon's whole life cycle —
 //! set-up, timed cold mines, idle serving, and refresh rounds under load —
-//! and the corpus, parameters and time shares decide which layer does the
-//! work:
+//! because the result line must carry every end-to-end metric; the corpus,
+//! parameters and time shares decide which layer gets the time:
 //!
 //! - `mine_clp`: the paper's Fig. 4a setting, CLP(σ=100, γ=0, λ=5) on a
 //!   NYT-like corpus; cold store-backed mines take the largest share.
 //! - `serve_steady`: a fixed index from a small LP corpus behind the
-//!   server; most of the run is open-loop querying, with nothing mining.
+//!   server; open-loop querying with nothing mining takes the largest
+//!   share, and the mine and refresh phases run only as long as their
+//!   metrics need.
 //! - `refresh_under_load`: the daemon's own parameters (σ=25, γ=1, λ=4)
 //!   with many ingest → refresh rounds, compaction included, while the
-//!   open-loop generator keeps querying.
+//!   open-loop generator keeps querying; the other phases are minimal.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lash_core::{GsmParams, ItemId, Lash, LashResult, SequenceDatabase, Vocabulary};
-use lash_datagen::{TextConfig, TextCorpus, TextHierarchy};
+use lash_core::{GsmParams, ItemId, Lash, LashResult, SequenceDatabase};
+use lash_datagen::{Rng, TextConfig, TextCorpus, TextHierarchy};
 use lash_index::{PatternIndexReader, Query, QueryReply, QueryService};
 use lash_serve::{Client, Lifecycle, ServeConfig, Server};
 use lash_store::{CorpusReader, StoreOptions};
 
 use crate::loadgen::{self, LoadResult, Sample};
-use crate::stats::{median, quantile, windowed_quantile, Report};
+use crate::stats::{median, quantile, Report};
 use crate::trace::Tracer;
-use crate::Args;
+use crate::{rss, Args};
 
-/// The fixed offered rate of `query_p50_us` (requests/s), a fifth of the
-/// reference host's capacity.
+/// The fixed offered rate of `query_p50_us` (requests/s), about an eighth
+/// of the reference host's capacity.
 const FIXED_RATE: f64 = 4_000.0;
 /// Offered rate while refresh rounds run.
 const REFRESH_RATE: f64 = 2_000.0;
@@ -50,12 +53,16 @@ const LATENCY_LIMIT_US: f64 = 20_000.0;
 /// most [`MAX_INVALID`] times before the run is declared invalid.
 const LATE_LIMIT_US: f64 = LATENCY_LIMIT_US;
 const MAX_INVALID: usize = 3;
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
-/// Mines of the traced run: untraced and traced in turn.
-const TRACED_MINES: usize = 4;
-/// Sub-windows whose tail quantiles are reduced to one median.
-const TAIL_WINDOWS: usize = 8;
+/// Cycles per run, each with one set-up, its cold mines and one
+/// fixed-rate window; `setup_s` is the median of the set-ups.
+const SETUPS: usize = 5;
+/// Seconds per capacity-ladder rung.
+const RUNG_SECS: f64 = 0.3;
+/// Queries per cycle of the `experiments serve` mix: 20 supports, one
+/// top-k, one enumerate, one generalized.
+const MIX_LEN: u64 = 23;
+/// Patterns the skewed draw ranges over (the index's most frequent).
+const SKEW_TOP: usize = 256;
 
 /// One workload's corpus, parameters and time shares.
 pub struct Spec {
@@ -67,58 +74,44 @@ pub struct Spec {
     pub chunk: usize,
     /// Ingest → refresh rounds.
     pub rounds: usize,
-    /// Share of `--seconds` spent on timed cold mines.
+    /// Share of `--seconds` spent on timed cold mines, at least one per
+    /// cycle.
     pub mine_share: f64,
-    pub min_mines: usize,
     /// Share of `--seconds` at the fixed offered rate.
     pub fixed_share: f64,
-    /// Seconds per capacity-ladder rung.
     pub rung_secs: f64,
+}
+
+impl Spec {
+    fn gsm_params(&self) -> Result<GsmParams, String> {
+        let (sigma, gamma, lambda) = self.params;
+        GsmParams::new(sigma, gamma, lambda).map_err(|e| e.to_string())
+    }
 }
 
 /// The workload named `name`; `tiny` shrinks it for the self-tests.
 pub fn spec(name: &str, tiny: bool) -> Option<Spec> {
-    let mut spec = match name {
-        "mine_clp" => Spec {
-            hierarchy: TextHierarchy::CLP,
-            scale: 1.0,
-            params: (100, 0, 5),
-            chunk: 1_000,
-            rounds: 4,
-            mine_share: 0.55,
-            min_mines: 5,
-            fixed_share: 0.35,
-            rung_secs: 0.3,
-        },
-        "serve_steady" => Spec {
-            hierarchy: TextHierarchy::LP,
-            scale: 0.3,
-            params: (25, 1, 4),
-            chunk: 500,
-            rounds: 4,
-            mine_share: 0.2,
-            min_mines: 5,
-            fixed_share: 0.4,
-            rung_secs: 0.3,
-        },
-        "refresh_under_load" => Spec {
-            hierarchy: TextHierarchy::LP,
-            scale: 0.3,
-            params: (25, 1, 4),
-            chunk: 500,
-            rounds: 6,
-            mine_share: 0.2,
-            min_mines: 5,
-            fixed_share: 0.35,
-            rung_secs: 0.3,
-        },
+    // (hierarchy, scale, params, chunk, rounds, mine_share, fixed_share)
+    let (hierarchy, scale, params, chunk, rounds, mine_share, fixed_share) = match name {
+        "mine_clp" => (TextHierarchy::CLP, 1.0, (100, 0, 5), 1_000, 4, 0.55, 0.35),
+        "serve_steady" => (TextHierarchy::LP, 0.3, (25, 1, 4), 500, 5, 0.0, 0.6),
+        "refresh_under_load" => (TextHierarchy::LP, 0.3, (25, 1, 4), 500, 8, 0.0, 0.25),
         _ => return None,
+    };
+    let mut spec = Spec {
+        hierarchy,
+        scale,
+        params,
+        chunk,
+        rounds,
+        mine_share,
+        fixed_share,
+        rung_secs: RUNG_SECS,
     };
     if tiny {
         spec.scale = 0.02;
         spec.chunk = 50;
         spec.params.0 = spec.params.0.min(10);
-        spec.min_mines = 2;
         spec.rung_secs = 0.1;
     }
     Some(spec)
@@ -194,30 +187,16 @@ fn index_digest(reader: &PatternIndexReader) -> Result<(u64, usize), String> {
     ))
 }
 
-/// SplitMix64, for the query mix.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// The `experiments serve` query mix — top-k, enumerate, exact support of
-/// real patterns, generalized lookups — drawn Zipf-skewed over the index's
-/// own most frequent patterns.
+/// The `experiments serve` query mix: per 23 queries, 20 exact supports of
+/// real patterns, one top-k (k = 10) and one enumerate (limit 5) over the
+/// whole index, and one generalized lookup. The mix draws its kinds at
+/// those odds and, where `experiments serve` cycles over the top 20
+/// patterns, draws each support and generalized pattern Zipf-skewed over
+/// the index's own most frequent patterns.
 fn query_pool(service: &QueryService, seed: u64, size: usize) -> Result<Vec<Query>, String> {
     let top = match service.execute(&Query::TopK {
         prefix: vec![],
-        k: 256,
+        k: SKEW_TOP,
     }) {
         Ok(QueryReply::Patterns(hits)) if !hits.is_empty() => hits,
         other => return Err(format!("index has no patterns to query: {other:?}")),
@@ -230,27 +209,24 @@ fn query_pool(service: &QueryService, seed: u64, size: usize) -> Result<Vec<Quer
         acc += w / total;
         cdf.push(acc);
     }
-    let mut rng = Rng(seed ^ 0x5eed_f00d);
+    let mut rng = Rng::new(seed ^ 0x5eed_f00d);
     let mut pool = Vec::with_capacity(size);
     for _ in 0..size {
-        let u = rng.unit();
-        let rank = cdf.partition_point(|&c| c < u).min(top.len() - 1);
-        let items = top[rank].items.clone();
-        let kind = rng.unit();
-        pool.push(if kind < 0.55 {
-            Query::Support { items }
-        } else if kind < 0.75 {
-            Query::TopK {
-                prefix: items[..1].to_vec(),
+        let u = rng.f64();
+        let items = top[cdf.partition_point(|&c| c < u).min(top.len() - 1)]
+            .items
+            .clone();
+        pool.push(match rng.below(MIX_LEN) {
+            0 => Query::TopK {
+                prefix: vec![],
                 k: 10,
-            }
-        } else if kind < 0.85 {
-            Query::Enumerate {
-                prefix: items[..1].to_vec(),
+            },
+            1 => Query::Enumerate {
+                prefix: vec![],
                 limit: Some(5),
-            }
-        } else {
-            Query::Generalized { items }
+            },
+            2 => Query::Generalized { items },
+            _ => Query::Support { items },
         });
     }
     Ok(pool)
@@ -292,19 +268,34 @@ fn histogram_delta(
     now
 }
 
+fn max(values: &[f64]) -> f64 {
+    values.iter().copied().fold(0.0, f64::max)
+}
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
 /// The daemon under test: its directories, life cycle and server.
 struct Daemon {
+    dir: PathBuf,
     corpus_dir: PathBuf,
     lifecycle: Lifecycle,
     server: Server,
 }
 
-/// Generates the corpus (base plus every ingest chunk).
-fn generate(spec: &Spec, seed: u64) -> (Vocabulary, SequenceDatabase, usize) {
+impl Daemon {
+    /// Stops the server, drops the life cycle and deletes the directory.
+    fn retire(self) {
+        self.server.shutdown();
+        drop(self.lifecycle);
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Generates the corpus: the sealed base plus every ingest chunk, and the
+/// number of base sequences.
+fn generate(spec: &Spec, seed: u64) -> (lash_core::Vocabulary, SequenceDatabase, usize) {
     let mut config = TextConfig {
         seed,
         ..TextConfig::default()
@@ -316,15 +307,59 @@ fn generate(spec: &Spec, seed: u64) -> (Vocabulary, SequenceDatabase, usize) {
     (vocab, db, base)
 }
 
+/// Digests of the in-memory `Lash::mine` (the proptest-exact reference
+/// path) over the generated base corpus and over the corpus after every
+/// round.
+pub fn reference_digests(spec: &Spec, seed: u64) -> Result<(u64, u64), String> {
+    let params = spec.gsm_params()?;
+    let (vocab, db, base) = generate(spec, seed);
+    let mine = |db: &SequenceDatabase| {
+        Lash::default()
+            .mine(db, &vocab, &params)
+            .map(|r| result_digest(&r))
+            .map_err(|e| format!("reference mine: {e}"))
+    };
+    Ok((mine(&db.truncated(base))?, mine(&db)?))
+}
+
+/// Runs [`reference_digests`] in a child process of this binary, so the
+/// in-memory mines share neither memory nor time with the measured
+/// process.
+fn reference_in_child(args: &Args) -> Result<(u64, u64), String> {
+    let exe = std::env::current_exe().map_err(|e| format!("own executable: {e}"))?;
+    let mut child = Command::new(exe);
+    child.args(["--workload", &args.workload, "--seed"]);
+    child.arg(args.seed.to_string());
+    child.args(["--seconds", "1", "--reference"]);
+    if args.tiny {
+        child.arg("--tiny");
+    }
+    let out = child
+        .stderr(Stdio::inherit())
+        .output()
+        .map_err(|e| format!("reference process: {e}"))?;
+    let text = String::from_utf8_lossy(&out.stdout);
+    let digests: Vec<u64> = text
+        .split_whitespace()
+        .filter_map(|d| d.parse().ok())
+        .collect();
+    match (out.status.success(), digests.as_slice()) {
+        (true, &[base, grown]) => Ok((base, grown)),
+        _ => Err(format!("reference process failed ({}): {text}", out.status)),
+    }
+}
+
 /// One set-up: corpus generation, store write, bootstrap mine, index
-/// build and server start, into a fresh directory.
+/// build and server start, into a fresh directory. Returns the daemon
+/// and the sequences the refresh rounds will ingest; the rest of the
+/// generated corpus is dropped.
 fn set_up(
     spec: &Spec,
     params: &GsmParams,
     seed: u64,
-    dir: &Path,
+    dir: PathBuf,
     tracer: &Tracer,
-) -> Result<(Daemon, Vocabulary, SequenceDatabase, usize), String> {
+) -> Result<(Daemon, Vec<Vec<ItemId>>), String> {
     let ((vocab, db, base), _) = tracer.call("bench.datagen", || generate(spec, seed));
     let corpus_dir = dir.join("corpus");
     tracer
@@ -338,6 +373,8 @@ fn set_up(
         })
         .0
         .map_err(|e| format!("write store: {e}"))?;
+    let chunks = (base..db.len()).map(|i| db.get(i).to_vec()).collect();
+    drop((vocab, db));
     let config = ServeConfig::default();
     let lifecycle = tracer
         .call("bench.serve.bootstrap", || {
@@ -359,114 +396,189 @@ fn set_up(
         .map_err(|e| format!("start server: {e}"))?;
     Ok((
         Daemon {
+            dir,
             corpus_dir,
             lifecycle,
             server,
         },
-        vocab,
-        db,
-        base,
+        chunks,
     ))
 }
 
+/// Wall time and peak resident set per phase, summed (time) and maxed
+/// (memory) over every stretch of the run spent in that phase.
+#[derive(Default)]
+struct Phases(Vec<(&'static str, Duration, f64)>);
+
+impl Phases {
+    /// Runs `f` as one stretch of phase `name`, with the high-water mark
+    /// of the resident set reset at its start.
+    fn run<T>(
+        &mut self,
+        name: &'static str,
+        f: impl FnOnce() -> Result<T, String>,
+    ) -> Result<T, String> {
+        rss::reset_peak();
+        let started = Instant::now();
+        let out = f()?;
+        let (took, mb) = (started.elapsed(), rss::peak_mb()?);
+        match self.0.iter_mut().find(|p| p.0 == name) {
+            Some(p) => {
+                p.1 += took;
+                p.2 = p.2.max(mb);
+            }
+            None => self.0.push((name, took, mb)),
+        }
+        Ok(out)
+    }
+}
+
 /// Runs one workload end to end.
+///
+/// Set-ups, cold mines and fixed-rate load windows are spread over
+/// [`SETUPS`] cycles of one set-up, its mines and one load window each, so
+/// the samples behind `setup_s`, `mine_s` and `query_p50_us` span most of
+/// the run: the reference host's speed drifts over seconds, and a median
+/// over samples taken in one contiguous stretch moves with it. The
+/// daemon of one cycle is shut down before the next set-up starts; the
+/// last one goes on to the capacity ladder and the refresh rounds.
 pub fn run(spec: &Spec, args: &Args, run_dir: &Path) -> Result<Outcome, String> {
     let tracer = if args.trace {
         Tracer::on(&run_dir.join("trace.jsonl")).map_err(|e| format!("trace sink: {e}"))?
     } else {
         Tracer::off()
     };
-    let (sigma, gamma, lambda) = spec.params;
-    let params = GsmParams::new(sigma, gamma, lambda).map_err(|e| e.to_string())?;
+    let params = spec.gsm_params()?;
     let mut report = Report::default();
     let mut ledger = Ledger::default();
     let errors_before = counter("serve.error_replies");
     let frame_errors_before = counter("serve.frame_errors");
+    let requests_before = counter("serve.requests");
+    let batches_before = counter("serve.batches");
+    let wait_before = lash_obs::global()
+        .histogram("serve.queue.wait_us")
+        .snapshot();
 
-    // ---- Set-up, several times; the last one stays up. -----------------
-    let run_started = Instant::now();
-    let mut setup_s = Vec::new();
-    let mut kept: Option<(Daemon, PathBuf)> = None;
-    let mut generated = None;
-    for i in 0..SETUPS {
-        let dir = run_dir.join(format!("setup-{i}"));
-        let started = Instant::now();
-        let (daemon, vocab, db, base) = set_up(spec, &params, args.seed, &dir, &tracer)?;
-        setup_s.push(started.elapsed().as_secs_f64());
-        generated = Some((vocab, db, base));
-        if let Some((old, old_dir)) = kept.replace((daemon, dir)) {
-            old.server.shutdown();
-            drop(old.lifecycle);
-            let _ = std::fs::remove_dir_all(old_dir);
-        }
-    }
-    let (daemon, _) = kept.expect("at least one set-up");
-    let (vocab, db, base) = generated.expect("at least one set-up");
-    report.set("setup_s", median(&setup_s), "s");
-    let addr = daemon.server.local_addr();
-    let service = daemon.lifecycle.service();
-
-    // Reference: the in-memory miner over the same generated database
-    // (untimed). The bootstrap index must hold exactly its patterns.
-    let reference = Lash::default()
-        .mine(&db.truncated(base), &vocab, &params)
-        .map_err(|e| format!("reference mine: {e}"))?;
-    let mut reference_digest = result_digest(&reference);
+    // Reference digests, untimed, from a separate process.
+    let (mut reference_digest, grown_digest) = reference_in_child(args)?;
     if args.corrupt_reference {
         reference_digest ^= 1;
     }
-    drop(reference);
-    let (live_digest, live_patterns) = index_digest(&service.snapshot())?;
-    ledger.check(live_digest == reference_digest, || {
-        format!("bootstrap index ({live_patterns} patterns) differs from the in-memory mine")
-    });
-    let mut phases = vec![("set-up", run_started.elapsed())];
 
-    let started = Instant::now();
-    mine_phase(
-        spec,
-        args,
-        &params,
-        &daemon,
-        reference_digest,
-        &tracer,
-        run_dir,
-        &mut report,
-        &mut ledger,
-    )?;
-    phases.push(("mines", started.elapsed()));
-    let started = Instant::now();
-    let pool = Arc::new(query_pool(&service, args.seed, 4096)?);
-    serve_phase(
-        spec,
-        args.seconds,
-        addr,
-        &service,
-        &pool,
-        &tracer,
-        &mut report,
-        &mut ledger,
-    )?;
-    phases.push(("serving", started.elapsed()));
-    let started = Instant::now();
-    refresh_phase(
-        spec,
-        &params,
-        daemon,
-        &vocab,
-        &db,
-        base,
-        &pool,
-        &tracer,
-        &mut report,
-        &mut ledger,
-    )?;
-    phases.push(("refresh", started.elapsed()));
+    let mut phases = Phases::default();
+    let mut setup_s = Vec::new();
+    let mut mines = Mines::default();
+    let mut fixed = Fixed::default();
+    let mut pool = None;
+    let mut kept: Option<(Daemon, Vec<Vec<ItemId>>)> = None;
+    for cycle in 0..SETUPS {
+        if let Some((old, _)) = kept.take() {
+            old.retire();
+        }
+        let (daemon, chunks) = phases.run("setup", || {
+            let started = Instant::now();
+            let dir = run_dir.join(format!("setup-{cycle}"));
+            let out = set_up(spec, &params, args.seed, dir, &tracer)?;
+            setup_s.push(started.elapsed().as_secs_f64());
+            Ok(out)
+        })?;
+        // The bootstrap index must hold exactly the in-memory mine's
+        // patterns.
+        let service = daemon.lifecycle.service();
+        let (live_digest, live_patterns) = index_digest(&service.snapshot())?;
+        ledger.check(live_digest == reference_digest, || {
+            format!("bootstrap index ({live_patterns} patterns) differs from the in-memory mine")
+        });
+        phases.run("mine", || {
+            mine_cycle(
+                spec,
+                args,
+                &params,
+                &daemon,
+                reference_digest,
+                &tracer,
+                &mut mines,
+                &mut ledger,
+            )
+        })?;
+        let pool = match &pool {
+            Some(pool) => Arc::clone(pool),
+            None => pool
+                .insert(Arc::new(query_pool(&service, args.seed, 4096)?))
+                .clone(),
+        };
+        phases.run("serve", || {
+            fixed_window(spec, args, &daemon, &pool, &mut fixed, &mut ledger)
+        })?;
+        kept = Some((daemon, chunks));
+    }
+    let (daemon, chunks) = kept.expect("at least one set-up");
+    let pool = pool.expect("at least one set-up");
+    report.set("setup_s", median(&setup_s), "s");
+    let result = mines.report(&mut report);
+    fixed.report(&mut report);
+    let requests = counter("serve.requests") - requests_before;
+    let batches = counter("serve.batches") - batches_before;
+    report.set(
+        "serve.batch_size_mean",
+        requests as f64 / batches.max(1) as f64,
+        "count",
+    );
+    let wait = histogram_delta("serve.queue.wait_us", &wait_before);
+    report.set("serve.queue_wait_p50_us", wait.percentile(0.5) as f64, "us");
+    report.set(
+        "serve.queue_wait_p99_us",
+        wait.percentile(0.99) as f64,
+        "us",
+    );
+
+    phases.run("mine", || {
+        store_and_index_probes(
+            &daemon,
+            &result,
+            reference_digest,
+            &tracer,
+            run_dir,
+            &mut report,
+            &mut ledger,
+        )
+    })?;
+    phases.run("serve", || {
+        serve_probes(
+            spec,
+            args,
+            &daemon,
+            &pool,
+            &fixed,
+            &tracer,
+            &mut report,
+            &mut ledger,
+        )
+    })?;
+    phases.run("refresh", || {
+        refresh_phase(
+            spec,
+            args.seed,
+            daemon,
+            chunks,
+            grown_digest,
+            &pool,
+            &tracer,
+            &mut report,
+            &mut ledger,
+        )
+    })?;
+    for (name, _, mb) in &phases.0 {
+        report.set(&format!("rss.{name}_mb"), *mb, "MB");
+    }
+    let peaks: Vec<f64> = phases.0.iter().map(|p| p.2).collect();
+    report.set("peak_rss_mb", max(&peaks), "MB");
     eprintln!(
         "perfbench: {}",
         phases
+            .0
             .iter()
-            .map(|(name, d)| format!("{name} {:.1} s", d.as_secs_f64()))
+            .map(|(name, d, mb)| format!("{name} {:.1} s {mb:.0} MB", d.as_secs_f64()))
             .collect::<Vec<_>>()
             .join(", ")
     );
@@ -498,132 +610,161 @@ pub fn run(spec: &Spec, args: &Args, run_dir: &Path) -> Result<Outcome, String> 
     })
 }
 
-/// Timed cold mines: `CorpusReader::open` → `CorpusReader::mine` →
-/// patterns in hand, with the server idle.
+/// Cold-mine samples gathered across the cycles.
+#[derive(Default)]
+struct Mines {
+    mine_s: Vec<f64>,
+    traced_s: Vec<f64>,
+    open_ms: Vec<f64>,
+    flist_ms: Vec<f64>,
+    flist_jobs: u64,
+    map_ms: Vec<f64>,
+    shuffle_ms: Vec<f64>,
+    reduce_ms: Vec<f64>,
+    blocks_decoded: u64,
+    blocks_pruned: u64,
+    last: Option<LashResult>,
+}
+
+/// One cycle's timed cold mines: `CorpusReader::open` →
+/// `CorpusReader::mine` → patterns in hand, with the server idle. At
+/// least one, and more while the cycle's share of the mine budget lasts.
+/// The traced run mines once per cycle, untraced and traced in turn: the
+/// difference of their medians is the tracing overhead.
 #[allow(clippy::too_many_arguments)]
-fn mine_phase(
+fn mine_cycle(
     spec: &Spec,
     args: &Args,
     params: &GsmParams,
     daemon: &Daemon,
     reference_digest: u64,
     tracer: &Tracer,
-    run_dir: &Path,
-    report: &mut Report,
+    mines: &mut Mines,
     ledger: &mut Ledger,
 ) -> Result<(), String> {
     let lash = Lash::default();
     let dir = &daemon.corpus_dir;
-    let budget = Duration::from_secs_f64(args.seconds * spec.mine_share);
-    let decoded_before = counter("store.scan.blocks_decoded");
-    let pruned_before = counter("store.scan.blocks_pruned");
-    let (mut mine_s, mut traced_s) = (Vec::new(), Vec::new());
-    let (mut open_ms, mut flist_ms, mut flist_jobs) = (Vec::new(), Vec::new(), 0);
-    let (mut map_ms, mut shuffle_ms, mut reduce_ms) = (Vec::new(), Vec::new(), Vec::new());
-    let mut last: Option<(CorpusReader, LashResult)> = None;
+    let budget = Duration::from_secs_f64(args.seconds * spec.mine_share / SETUPS as f64);
     let started = Instant::now();
-    for i in 0.. {
-        // The traced run alternates untraced and traced mines: the
-        // difference of their medians is the tracing overhead.
+    loop {
+        let i = mines.mine_s.len() + mines.traced_s.len();
         let traced = tracer.enabled() && i % 2 == 1;
         tracer.attach(traced);
+        let decoded = counter("store.scan.blocks_decoded");
+        let pruned = counter("store.scan.blocks_pruned");
         let t0 = Instant::now();
         let (reader, open) = tracer.call("bench.store.open", || CorpusReader::open(dir));
         let reader = reader.map_err(|e| format!("open store: {e}"))?;
         let (result, _) = tracer.call("bench.core.mine", || reader.mine(&lash, params));
         let result = result.map_err(|e| format!("mine: {e}"))?;
         let elapsed = t0.elapsed().as_secs_f64();
+        mines.blocks_decoded += counter("store.scan.blocks_decoded") - decoded;
+        mines.blocks_pruned += counter("store.scan.blocks_pruned") - pruned;
         ledger.attempted += 1;
         ledger.check(result_digest(&result) == reference_digest, || {
             format!("store-backed mine {i} differs from the in-memory mine")
         });
         if traced {
-            traced_s.push(elapsed);
+            mines.traced_s.push(elapsed);
         } else {
-            mine_s.push(elapsed);
+            mines.mine_s.push(elapsed);
         }
         let (flist, flist_d) = tracer.call("bench.store.flist", || reader.flist());
         ledger.check(matches!(flist, Ok(Some(_))), || {
             "header-only f-list unavailable".into()
         });
-        open_ms.push(ms(open));
-        flist_ms.push(ms(flist_d));
+        mines.open_ms.push(ms(open));
+        mines.flist_ms.push(ms(flist_d));
         // The f-list job runs only when the header f-list fell back.
         if result.preprocess_metrics.counters.map_task_attempts > 0 {
-            flist_jobs += 1;
+            mines.flist_jobs += 1;
         }
-        map_ms.push(ms(result.mine_metrics.map_time));
-        shuffle_ms.push(ms(result.mine_metrics.shuffle_time));
-        reduce_ms.push(ms(result.mine_metrics.reduce_time));
-        last = Some((reader, result));
-        let done = if tracer.enabled() {
-            i + 1 >= TRACED_MINES
-        } else {
-            started.elapsed() >= budget && mine_s.len() >= spec.min_mines
-        };
-        if done {
+        mines.map_ms.push(ms(result.mine_metrics.map_time));
+        mines.shuffle_ms.push(ms(result.mine_metrics.shuffle_time));
+        mines.reduce_ms.push(ms(result.mine_metrics.reduce_time));
+        mines.last = Some(result);
+        if tracer.enabled() || started.elapsed() >= budget {
             break;
         }
     }
     tracer.attach(true);
-    let (reader, result) = last.expect("at least one mine");
-    report.set("mine_s", median(&mine_s), "s");
-    report.set("mine.samples", mine_s.len() as f64, "count");
-    let untraced = median(&mine_s);
-    let traced = if traced_s.is_empty() {
-        untraced
-    } else {
-        median(&traced_s)
-    };
-    report.set("trace.mine_s", traced, "s");
-    report.set("trace.overhead_ms", (traced - untraced) * 1e3, "ms");
-    report.set(
-        "trace.overhead_pct",
-        (traced - untraced) / untraced * 100.0,
-        "%",
-    );
-    report.set("store.open_ms", median(&open_ms), "ms");
-    report.set("store.flist_ms", median(&flist_ms), "ms");
-    report.set("mapreduce.flist_jobs", flist_jobs as f64, "count");
-    report.set("mapreduce.map_ms", median(&map_ms), "ms");
-    report.set("mapreduce.shuffle_ms", median(&shuffle_ms), "ms");
-    report.set("mapreduce.reduce_ms", median(&reduce_ms), "ms");
-    let decoded = counter("store.scan.blocks_decoded") - decoded_before;
-    let pruned = counter("store.scan.blocks_pruned") - pruned_before;
-    report.set(
-        "store.blocks_pruned_ratio",
-        pruned as f64 / (decoded + pruned).max(1) as f64,
-        "ratio",
-    );
-    let c = &result.mine_metrics.counters;
-    report.set(
-        "mapreduce.map_output_bytes",
-        c.map_output_bytes as f64,
-        "bytes",
-    );
-    report.set(
-        "mapreduce.map_output_records",
-        c.map_output_records as f64,
-        "count",
-    );
-    report.set("mapreduce.spilled_bytes", c.spilled_bytes as f64, "bytes");
-    report.set(
-        "mapreduce.peak_resident_bytes",
-        c.peak_resident_bytes as f64,
-        "bytes",
-    );
-    let s = &result.miner_stats;
-    report.set("core.candidates", s.candidates as f64, "count");
-    report.set("core.expansions", s.expansions as f64, "count");
-    report.set("core.outputs", s.outputs as f64, "count");
-    report.set(
-        "core.candidates_per_output",
-        s.candidates_per_output().unwrap_or(0.0),
-        "ratio",
-    );
-    report.set("core.partitions", result.num_partitions as f64, "count");
-    report.set("core.patterns", result.patterns().len() as f64, "count");
+    Ok(())
+}
 
+impl Mines {
+    /// Reports the mine figures; returns the last mine's result.
+    fn report(&mut self, report: &mut Report) -> LashResult {
+        report.set("mine_s", median(&self.mine_s), "s");
+        report.set("mine.samples", self.mine_s.len() as f64, "count");
+        let untraced = median(&self.mine_s);
+        let traced = if self.traced_s.is_empty() {
+            untraced
+        } else {
+            median(&self.traced_s)
+        };
+        report.set("trace.mine_s", traced, "s");
+        report.set("trace.overhead_ms", (traced - untraced) * 1e3, "ms");
+        report.set(
+            "trace.overhead_pct",
+            (traced - untraced) / untraced * 100.0,
+            "%",
+        );
+        report.set("store.open_ms", median(&self.open_ms), "ms");
+        report.set("store.flist_ms", median(&self.flist_ms), "ms");
+        report.set("mapreduce.flist_jobs", self.flist_jobs as f64, "count");
+        report.set("mapreduce.map_ms", median(&self.map_ms), "ms");
+        report.set("mapreduce.shuffle_ms", median(&self.shuffle_ms), "ms");
+        report.set("mapreduce.reduce_ms", median(&self.reduce_ms), "ms");
+        report.set(
+            "store.blocks_pruned_ratio",
+            self.blocks_pruned as f64 / (self.blocks_decoded + self.blocks_pruned).max(1) as f64,
+            "ratio",
+        );
+        let result = self.last.take().expect("at least one mine");
+        let c = &result.mine_metrics.counters;
+        report.set(
+            "mapreduce.map_output_bytes",
+            c.map_output_bytes as f64,
+            "bytes",
+        );
+        report.set(
+            "mapreduce.map_output_records",
+            c.map_output_records as f64,
+            "count",
+        );
+        report.set("mapreduce.spilled_bytes", c.spilled_bytes as f64, "bytes");
+        report.set(
+            "mapreduce.peak_resident_bytes",
+            c.peak_resident_bytes as f64,
+            "bytes",
+        );
+        let s = &result.miner_stats;
+        report.set("core.candidates", s.candidates as f64, "count");
+        report.set("core.expansions", s.expansions as f64, "count");
+        report.set("core.outputs", s.outputs as f64, "count");
+        report.set(
+            "core.candidates_per_output",
+            s.candidates_per_output().unwrap_or(0.0),
+            "ratio",
+        );
+        report.set("core.partitions", result.num_partitions as f64, "count");
+        report.set("core.patterns", result.patterns().len() as f64, "count");
+        result
+    }
+}
+
+/// Scan throughput over the whole corpus, and index build, open and swap
+/// on the mined patterns, off the live path.
+fn store_and_index_probes(
+    daemon: &Daemon,
+    result: &LashResult,
+    reference_digest: u64,
+    tracer: &Tracer,
+    run_dir: &Path,
+    report: &mut Report,
+    ledger: &mut Ledger,
+) -> Result<(), String> {
+    let reader = CorpusReader::open(&daemon.corpus_dir).map_err(|e| format!("open store: {e}"))?;
     // Scan throughput: every sequence of the corpus through `par_scan`.
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut melem_s = Vec::new();
@@ -654,7 +795,6 @@ fn mine_phase(
         "bytes",
     );
 
-    // Index build, open and swap on the mined patterns, off the live path.
     let (mut build_ms, mut iopen_ms, mut swap_us) = (Vec::new(), Vec::new(), Vec::new());
     let mut summary = None;
     for k in 0..3 {
@@ -693,28 +833,111 @@ fn load_for(
     pool: &Arc<Vec<Query>>,
     rate: f64,
     secs: f64,
+    seed: u64,
 ) -> Result<(LoadResult, u64, u64), String> {
-    let running =
-        loadgen::start(addr, Arc::clone(pool), rate).map_err(|e| format!("load connect: {e}"))?;
+    let running = loadgen::start(addr, Arc::clone(pool), rate, seed)
+        .map_err(|e| format!("load connect: {e}"))?;
     std::thread::sleep(WARMUP + Duration::from_secs_f64(secs));
     let load = running.stop();
     let to = load.elapsed.as_nanos() as u64;
     Ok((load, WARMUP.as_nanos() as u64, to))
 }
 
-/// Idle serving: single-request round trips, in-process execution per
-/// query kind, the fixed-rate window, and the capacity ladder.
-#[allow(clippy::too_many_arguments)]
-fn serve_phase(
+/// Fixed-rate load windows gathered across the cycles: per window its
+/// latency quantiles and answered rate, and totals.
+#[derive(Default)]
+struct Fixed {
+    p50_us: Vec<f64>,
+    p90_us: Vec<f64>,
+    p99_us: Vec<f64>,
+    answered_per_s: Vec<f64>,
+    late_us: Vec<f64>,
+    answered: usize,
+    offered: u64,
+    completed: u64,
+    failed: u64,
+    invalid: usize,
+}
+
+/// One cycle's window at the fixed offered rate; a window the generator
+/// could not keep is measured again.
+fn fixed_window(
     spec: &Spec,
-    seconds: f64,
-    addr: SocketAddr,
-    service: &QueryService,
+    args: &Args,
+    daemon: &Daemon,
     pool: &Arc<Vec<Query>>,
+    fixed: &mut Fixed,
+    ledger: &mut Ledger,
+) -> Result<(), String> {
+    let secs = (args.seconds * spec.fixed_share / SETUPS as f64).max(0.5);
+    let addr = daemon.server.local_addr();
+    loop {
+        let window = (fixed.p50_us.len() + fixed.invalid) as u64;
+        let seed = args.seed.wrapping_mul(64).wrapping_add(window);
+        let (load, from, to) = load_for(addr, pool, FIXED_RATE, secs, seed)?;
+        ledger.load(&load);
+        let late = load.late_us(from, to);
+        let late_p99 = quantile(&late, 0.99);
+        if late_p99 > LATE_LIMIT_US {
+            fixed.invalid += 1;
+            if fixed.invalid > MAX_INVALID {
+                return Err(format!(
+                    "invalid run: the generator could not keep its schedule \
+                     (late p99 {late_p99:.0} us in {} windows)",
+                    fixed.invalid
+                ));
+            }
+            eprintln!("perfbench: fixed-rate window invalid (late p99 {late_p99:.0} us), again");
+            continue;
+        }
+        let latencies = load.latencies_us(from, to);
+        fixed.p50_us.push(quantile(&latencies, 0.5));
+        fixed.p90_us.push(quantile(&latencies, 0.9));
+        fixed.p99_us.push(quantile(&latencies, 0.99));
+        fixed
+            .answered_per_s
+            .push(latencies.len() as f64 / ((to - from) as f64 / 1e9));
+        fixed.answered += latencies.len();
+        fixed.late_us.extend(late);
+        fixed.offered += load.offered();
+        fixed.completed += load.completed();
+        fixed.failed += load.failed();
+        let service = daemon.lifecycle.service();
+        check_samples(ledger, &service, pool, &load.samples, "fixed-rate window");
+        return Ok(());
+    }
+}
+
+impl Fixed {
+    /// Reports the fixed-rate figures: each latency quantile is the median
+    /// over the windows of that window's quantile.
+    fn report(&self, report: &mut Report) {
+        report.set("query_p50_us", median(&self.p50_us), "us");
+        report.set("query_p90_us", median(&self.p90_us), "us");
+        report.set("query_p99_us", median(&self.p99_us), "us");
+        report.set("loadgen.query_samples", self.answered as f64, "count");
+        report.set("loadgen.invalid_windows", self.invalid as f64, "count");
+        report.set("loadgen.late_p99_us", quantile(&self.late_us, 0.99), "us");
+        report.set("loadgen.offered", self.offered as f64, "count");
+        report.set("loadgen.completed", self.completed as f64, "count");
+    }
+}
+
+/// Serving probes on the last cycle's idle daemon: single-request round
+/// trips, in-process execution per query kind, and the capacity ladder.
+#[allow(clippy::too_many_arguments)]
+fn serve_probes(
+    spec: &Spec,
+    args: &Args,
+    daemon: &Daemon,
+    pool: &Arc<Vec<Query>>,
+    fixed: &Fixed,
     tracer: &Tracer,
     report: &mut Report,
     ledger: &mut Ledger,
 ) -> Result<(), String> {
+    let addr = daemon.server.local_addr();
+    let service = daemon.lifecycle.service();
     // One request in flight at a time.
     let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let mut rtt_us = Vec::new();
@@ -747,65 +970,6 @@ fn serve_phase(
         report.set(&format!("index.exec_us.{kind}"), median(&per_query), "us");
     }
 
-    // The fixed offered rate; a window the generator could not keep is
-    // measured again.
-    let fixed_secs = (seconds * spec.fixed_share).max(0.5);
-    let requests_before = counter("serve.requests");
-    let batches_before = counter("serve.batches");
-    let wait_before = lash_obs::global()
-        .histogram("serve.queue.wait_us")
-        .snapshot();
-    let mut invalid = 0;
-    let (fixed, from, to) = loop {
-        let (load, from, to) = load_for(addr, pool, FIXED_RATE, fixed_secs)?;
-        ledger.load(&load);
-        let late_p99 = quantile(&load.late_us(from, to), 0.99);
-        if late_p99 <= LATE_LIMIT_US {
-            break (load, from, to);
-        }
-        invalid += 1;
-        if invalid > MAX_INVALID {
-            return Err(format!(
-                "invalid run: the generator could not keep its schedule \
-                 (late p99 {late_p99:.0} us in {invalid} windows)"
-            ));
-        }
-        eprintln!("perfbench: fixed-rate window invalid (late p99 {late_p99:.0} us), again");
-    };
-    let (p90, samples) = windowed_quantile(&fixed.records, from, to, TAIL_WINDOWS, 0.9);
-    let (p99, _) = windowed_quantile(&fixed.records, from, to, TAIL_WINDOWS, 0.99);
-    report.set(
-        "query_p50_us",
-        quantile(&fixed.latencies_us(from, to), 0.5),
-        "us",
-    );
-    report.set("query_p90_us", p90, "us");
-    report.set("query_p99_us", p99, "us");
-    report.set("loadgen.query_samples", samples as f64, "count");
-    report.set("loadgen.invalid_windows", invalid as f64, "count");
-    report.set(
-        "loadgen.late_p99_us",
-        quantile(&fixed.late_us(from, to), 0.99),
-        "us",
-    );
-    report.set("loadgen.offered", fixed.offered() as f64, "count");
-    report.set("loadgen.completed", fixed.completed() as f64, "count");
-    let requests = counter("serve.requests") - requests_before;
-    let batches = counter("serve.batches") - batches_before;
-    report.set(
-        "serve.batch_size_mean",
-        requests as f64 / batches.max(1) as f64,
-        "count",
-    );
-    let wait = histogram_delta("serve.queue.wait_us", &wait_before);
-    report.set("serve.queue_wait_p50_us", wait.percentile(0.5) as f64, "us");
-    report.set(
-        "serve.queue_wait_p99_us",
-        wait.percentile(0.99) as f64,
-        "us",
-    );
-    check_samples(ledger, service, pool, &fixed.samples, "fixed-rate window");
-
     // The capacity ladder: from the fixed rate, double while a rung holds,
     // then bisect (in log space) between the last rung that held and the
     // first that did not. A rung holds when every request is answered,
@@ -814,9 +978,9 @@ fn serve_phase(
     // more, so one hiccup of the host does not end the climb.
     let rung = |rate: f64, ledger: &mut Ledger| -> Result<Option<f64>, String> {
         for _ in 0..2 {
-            let (load, from, to) = load_for(addr, pool, rate, spec.rung_secs)?;
+            let (load, from, to) = load_for(addr, pool, rate, spec.rung_secs, args.seed)?;
             ledger.load(&load);
-            check_samples(ledger, service, pool, &load.samples, "capacity ladder");
+            check_samples(ledger, &service, pool, &load.samples, "capacity ladder");
             let answered = load.latencies_us(from, to);
             let p99 = quantile(&answered, 0.99);
             let tail_p90 = quantile(&load.latencies_us(to - (to - from) / 4, to), 0.9);
@@ -826,11 +990,10 @@ fn serve_phase(
         }
         Ok(None)
     };
-    // The fixed-rate window is the ladder's first rung.
-    let fixed_p99 = quantile(&fixed.latencies_us(from, to), 0.99);
-    let fixed_held = fixed.failed() == 0 && fixed_p99 <= LATENCY_LIMIT_US;
+    // The fixed-rate windows are the ladder's first rung.
+    let fixed_held = fixed.failed == 0 && median(&fixed.p99_us) <= LATENCY_LIMIT_US;
     let mut max_qps = if fixed_held {
-        fixed.latencies_us(from, to).len() as f64 / ((to - from) as f64 / 1e9)
+        median(&fixed.answered_per_s)
     } else {
         0.0
     };
@@ -874,21 +1037,23 @@ fn serve_phase(
     Ok(())
 }
 
-/// Ingest → refresh rounds under open-loop load.
+/// Ingest → refresh rounds under open-loop load; `chunks` are the
+/// sequences to ingest, `grown_digest` the reference digest of the corpus
+/// after the last round.
 #[allow(clippy::too_many_arguments)]
 fn refresh_phase(
     spec: &Spec,
-    params: &GsmParams,
+    seed: u64,
     daemon: Daemon,
-    vocab: &Vocabulary,
-    db: &SequenceDatabase,
-    base: usize,
+    chunks: Vec<Vec<ItemId>>,
+    grown_digest: u64,
     pool: &Arc<Vec<Query>>,
     tracer: &Tracer,
     report: &mut Report,
     ledger: &mut Ledger,
 ) -> Result<(), String> {
     let Daemon {
+        dir: _,
         corpus_dir,
         mut lifecycle,
         server,
@@ -899,7 +1064,7 @@ fn refresh_phase(
         let bytes = reader.generations().iter().map(|g| g.payload_bytes()).sum();
         Ok((bytes, reader.num_generations()))
     };
-    let running = loadgen::start(server.local_addr(), Arc::clone(pool), REFRESH_RATE)
+    let running = loadgen::start(server.local_addr(), Arc::clone(pool), REFRESH_RATE, seed)
         .map_err(|e| format!("load connect: {e}"))?;
     std::thread::sleep(Duration::from_millis(200));
     let (mut refresh_s, mut round_ms, mut ingest_ms) = (Vec::new(), Vec::new(), Vec::new());
@@ -907,10 +1072,12 @@ fn refresh_phase(
     let (mut sealed_bytes, mut ingested_bytes) = (0u64, 0u64);
     let mut compaction = lash_store::CompactionStats::default();
     let (mut compacted, mut throttled) = (0, 0);
-    let mut expected = base as u64;
-    for round in 0..spec.rounds {
-        let from = base + round * spec.chunk;
-        let chunk: Vec<&[ItemId]> = (from..from + spec.chunk).map(|i| db.get(i)).collect();
+    let mut expected = CorpusReader::open(&corpus_dir)
+        .map_err(|e| format!("open store: {e}"))?
+        .manifest()
+        .num_sequences;
+    for (round, chunk) in chunks.chunks(spec.chunk).enumerate() {
+        let chunk: Vec<&[ItemId]> = chunk.iter().map(Vec::as_slice).collect();
         ingested_bytes += chunk.iter().map(|s| 4 * s.len() as u64).sum::<u64>();
         let (bytes_before, _) = stored(&corpus_dir)?;
         let t0_ns = running.now_ns();
@@ -1002,13 +1169,9 @@ fn refresh_phase(
     }
 
     // The live index after the rounds equals the in-memory mine of
-    // everything ingested so far.
-    let grown = db.truncated(expected as usize);
-    let reference = Lash::default()
-        .mine(&grown, vocab, params)
-        .map_err(|e| format!("reference mine: {e}"))?;
+    // everything ingested.
     let (live, n) = index_digest(&service.snapshot())?;
-    ledger.check(live == result_digest(&reference), || {
+    ledger.check(live == grown_digest, || {
         format!("live index after refresh ({n} patterns) differs from the in-memory mine")
     });
     Ok(())

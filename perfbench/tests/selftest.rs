@@ -99,11 +99,7 @@ fn metric_names(result: &Value) -> Vec<(String, String)> {
 
 #[test]
 fn every_workload_emits_every_declared_metric() {
-    // `peak_rss_mb` is measured from outside the process by `run.py`.
-    let end_to_end: Vec<_> = declared("end_to_end")
-        .into_iter()
-        .filter(|(name, _)| name != "peak_rss_mb")
-        .collect();
+    let end_to_end = declared("end_to_end");
     let per_layer = declared("per_layer");
     let workloads: Vec<String> = array(&benchmark_json(), "workloads")
         .iter()
