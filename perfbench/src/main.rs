@@ -3,7 +3,7 @@
 //! shuffle → PSM reduce → index build → swap → TCP query.
 //!
 //! ```text
-//! perfbench --workload <mine_clp|serve_steady|refresh_under_load>
+//! perfbench --workload <mine_clp|refresh_under_load>
 //!           --seed <n> --seconds <s> --trace <0|1> [--tiny]
 //! ```
 //!

@@ -19,3 +19,19 @@ pub fn peak_mb() -> Result<f64, String> {
         .map(|kib| kib / 1024.0)
         .ok_or_else(|| "no VmHWM in /proc/self/status".into())
 }
+
+/// Hands memory the allocator keeps after frees back to the kernel, so a
+/// cycle's peak does not carry what an earlier cycle left behind.
+pub fn release_free_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's malloc_trim only returns free heap pages to the
+        // kernel; it has no preconditions.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}

@@ -1,17 +1,16 @@
-//! The three workloads. Each one runs the daemon's whole life cycle —
-//! set-up, timed cold mines, idle serving, and refresh rounds under load —
-//! because the result line must carry every end-to-end metric; the corpus,
-//! parameters and time shares decide which layer gets the time:
+//! The two workloads. Each one runs the daemon's whole life cycle —
+//! set-up, timed cold mines, idle serving, and refresh rounds — in every
+//! cycle of the run, because the result line must carry every end-to-end
+//! metric; the corpus, parameters and time shares decide which layer gets
+//! the time:
 //!
 //! - `mine_clp`: the paper's Fig. 4a setting, CLP(σ=100, γ=0, λ=5) on a
-//!   NYT-like corpus; cold store-backed mines take the largest share.
-//! - `serve_steady`: a fixed index from a small LP corpus behind the
-//!   server; open-loop querying with nothing mining takes the largest
-//!   share, and the mine and refresh phases run only as long as their
-//!   metrics need.
+//!   NYT-like corpus; cold store-backed mines and re-mines of the grown
+//!   corpus take most of the run, with serving nearly idle.
 //! - `refresh_under_load`: the daemon's own parameters (σ=25, γ=1, λ=4)
-//!   with many ingest → refresh rounds, compaction included, while the
-//!   open-loop generator keeps querying; the other phases are minimal.
+//!   with ingest → refresh rounds, compaction included, while the
+//!   open-loop generator keeps querying; its traced run also measures the
+//!   serving layers on the fixed index before the rounds start.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -33,8 +32,6 @@ use crate::{rss, Args};
 /// The fixed offered rate of `query_p50_us` (requests/s), about an eighth
 /// of the reference host's capacity.
 const FIXED_RATE: f64 = 4_000.0;
-/// Offered rate while refresh rounds run.
-const REFRESH_RATE: f64 = 2_000.0;
 /// The capacity ladder doubles its offered rate up to this (requests/s)...
 const LADDER_CAP: f64 = 256_000.0;
 /// ...and, when even the fixed rate misses the limit, halves it down to
@@ -53,18 +50,26 @@ const LATENCY_LIMIT_US: f64 = 20_000.0;
 /// most [`MAX_INVALID`] times before the run is declared invalid.
 const LATE_LIMIT_US: f64 = LATENCY_LIMIT_US;
 const MAX_INVALID: usize = 3;
-/// Cycles per run, each with one set-up, its cold mines and one
-/// fixed-rate window; `setup_s` is the median of the set-ups.
-const SETUPS: usize = 5;
 /// Seconds per capacity-ladder rung.
 const RUNG_SECS: f64 = 0.3;
+/// Cycles per run; `setup_s` is the median of their set-ups.
+const CYCLES: usize = 5;
+/// Timed cold mines per cycle of the untraced run. A fixed count, not a
+/// time budget, so every run does the same work: the process's resident
+/// set grows a little from one cycle to the next, by more the more work a
+/// cycle did.
+const MINES_PER_CYCLE: usize = 2;
+/// Share of `--seconds` spent at the fixed offered rate, over all cycles.
+const FIXED_SHARE: f64 = 0.05;
+/// Shortest fixed-rate window, in seconds after the warm-up.
+const MIN_WINDOW_SECS: f64 = 0.5;
 /// Queries per cycle of the `experiments serve` mix: 20 supports, one
 /// top-k, one enumerate, one generalized.
 const MIX_LEN: u64 = 23;
 /// Patterns the skewed draw ranges over (the index's most frequent).
 const SKEW_TOP: usize = 256;
 
-/// One workload's corpus, parameters and time shares.
+/// One workload: its corpus, mining parameters, rounds and load.
 pub struct Spec {
     pub hierarchy: TextHierarchy,
     /// `TextConfig::scaled` factor of the sealed base corpus.
@@ -72,13 +77,13 @@ pub struct Spec {
     pub params: (u64, usize, usize),
     /// Sequences per ingest.
     pub chunk: usize,
-    /// Ingest → refresh rounds.
+    /// Cycles per run, each on a daemon of its own: set-up, cold mines,
+    /// one fixed-rate window, and the refresh rounds.
+    pub cycles: usize,
+    /// Ingest → refresh rounds per cycle.
     pub rounds: usize,
-    /// Share of `--seconds` spent on timed cold mines, at least one per
-    /// cycle.
-    pub mine_share: f64,
-    /// Share of `--seconds` at the fixed offered rate.
-    pub fixed_share: f64,
+    /// Offered rate while refresh rounds run (requests/s).
+    pub refresh_rate: f64,
     pub rung_secs: f64,
 }
 
@@ -91,27 +96,39 @@ impl Spec {
 
 /// The workload named `name`; `tiny` shrinks it for the self-tests.
 pub fn spec(name: &str, tiny: bool) -> Option<Spec> {
-    // (hierarchy, scale, params, chunk, rounds, mine_share, fixed_share)
-    let (hierarchy, scale, params, chunk, rounds, mine_share, fixed_share) = match name {
-        "mine_clp" => (TextHierarchy::CLP, 1.0, (100, 0, 5), 1_000, 4, 0.55, 0.35),
-        "serve_steady" => (TextHierarchy::LP, 0.3, (25, 1, 4), 500, 5, 0.0, 0.6),
-        "refresh_under_load" => (TextHierarchy::LP, 0.3, (25, 1, 4), 500, 8, 0.0, 0.25),
+    let mut spec = match name {
+        // Serving does next to no work here: a trickle of queries during
+        // the rounds, for their latency and the served-reply check.
+        "mine_clp" => Spec {
+            hierarchy: TextHierarchy::CLP,
+            scale: 1.0,
+            params: (100, 0, 5),
+            chunk: 1_000,
+            cycles: CYCLES,
+            rounds: 2,
+            refresh_rate: 200.0,
+            rung_secs: RUNG_SECS,
+        },
+        // Four rounds per daemon: the fourth ingest takes the store past
+        // the four generations `CompactionConfig` keeps, so every cycle
+        // compacts.
+        "refresh_under_load" => Spec {
+            hierarchy: TextHierarchy::LP,
+            scale: 0.2,
+            params: (25, 1, 4),
+            chunk: 300,
+            cycles: CYCLES,
+            rounds: 4,
+            refresh_rate: 2_000.0,
+            rung_secs: RUNG_SECS,
+        },
         _ => return None,
-    };
-    let mut spec = Spec {
-        hierarchy,
-        scale,
-        params,
-        chunk,
-        rounds,
-        mine_share,
-        fixed_share,
-        rung_secs: RUNG_SECS,
     };
     if tiny {
         spec.scale = 0.02;
         spec.chunk = 50;
         spec.params.0 = spec.params.0.min(10);
+        spec.cycles = 2;
         spec.rung_secs = 0.1;
     }
     Some(spec)
@@ -268,10 +285,6 @@ fn histogram_delta(
     now
 }
 
-fn max(values: &[f64]) -> f64 {
-    values.iter().copied().fold(0.0, f64::max)
-}
-
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -282,15 +295,6 @@ struct Daemon {
     corpus_dir: PathBuf,
     lifecycle: Lifecycle,
     server: Server,
-}
-
-impl Daemon {
-    /// Stops the server, drops the life cycle and deletes the directory.
-    fn retire(self) {
-        self.server.shutdown();
-        drop(self.lifecycle);
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
 }
 
 /// Generates the corpus: the sealed base plus every ingest chunk, and the
@@ -406,9 +410,16 @@ fn set_up(
 }
 
 /// Wall time and peak resident set per phase, summed (time) and maxed
-/// (memory) over every stretch of the run spent in that phase.
+/// (memory) over every stretch of the run spent in that phase, and the
+/// peak of each cycle.
 #[derive(Default)]
-struct Phases(Vec<(&'static str, Duration, f64)>);
+struct Phases {
+    phases: Vec<(&'static str, Duration, f64)>,
+    /// Highest peak of the current cycle so far.
+    cycle_peak: f64,
+    /// Peak of every finished cycle.
+    cycle_peaks: Vec<f64>,
+}
 
 impl Phases {
     /// Runs `f` as one stretch of phase `name`, with the high-water mark
@@ -422,26 +433,50 @@ impl Phases {
         let started = Instant::now();
         let out = f()?;
         let (took, mb) = (started.elapsed(), rss::peak_mb()?);
-        match self.0.iter_mut().find(|p| p.0 == name) {
+        self.cycle_peak = self.cycle_peak.max(mb);
+        match self.phases.iter_mut().find(|p| p.0 == name) {
             Some(p) => {
                 p.1 += took;
                 p.2 = p.2.max(mb);
             }
-            None => self.0.push((name, took, mb)),
+            None => self.phases.push((name, took, mb)),
         }
         Ok(out)
+    }
+
+    fn end_cycle(&mut self) {
+        self.cycle_peaks.push(std::mem::take(&mut self.cycle_peak));
+    }
+
+    /// `peak_rss_mb`, the median of the cycles' peaks, and the highest
+    /// peak of every phase.
+    fn report(&self, report: &mut Report) {
+        for (name, _, mb) in &self.phases {
+            report.set(&format!("rss.{name}_mb"), *mb, "MB");
+        }
+        report.set("peak_rss_mb", median(&self.cycle_peaks), "MB");
+        eprintln!(
+            "perfbench: {}; cycle peaks {:.0?} MB",
+            self.phases
+                .iter()
+                .map(|(name, d, mb)| format!("{name} {:.1} s {mb:.0} MB", d.as_secs_f64()))
+                .collect::<Vec<_>>()
+                .join(", "),
+            self.cycle_peaks
+        );
     }
 }
 
 /// Runs one workload end to end.
 ///
-/// Set-ups, cold mines and fixed-rate load windows are spread over
-/// [`SETUPS`] cycles of one set-up, its mines and one load window each, so
-/// the samples behind `setup_s`, `mine_s` and `query_p50_us` span most of
-/// the run: the reference host's speed drifts over seconds, and a median
-/// over samples taken in one contiguous stretch moves with it. The
-/// daemon of one cycle is shut down before the next set-up starts; the
-/// last one goes on to the capacity ladder and the refresh rounds.
+/// The run is [`Spec::cycles`] cycles, each on a daemon of its own: a
+/// set-up, its cold mines, one fixed-rate load window, and its ingest →
+/// refresh rounds, after which the daemon is shut down and its directory
+/// deleted. So the samples behind every end-to-end metric span the whole
+/// run: the reference host's speed drifts over seconds, and a median over
+/// samples taken in one contiguous stretch moves with it. The traced run
+/// also probes the store, index and serving layers on the last cycle's
+/// daemon before its rounds.
 pub fn run(spec: &Spec, args: &Args, run_dir: &Path) -> Result<Outcome, String> {
     let tracer = if args.trace {
         Tracer::on(&run_dir.join("trace.jsonl")).map_err(|e| format!("trace sink: {e}"))?
@@ -453,11 +488,6 @@ pub fn run(spec: &Spec, args: &Args, run_dir: &Path) -> Result<Outcome, String> 
     let mut ledger = Ledger::default();
     let errors_before = counter("serve.error_replies");
     let frame_errors_before = counter("serve.frame_errors");
-    let requests_before = counter("serve.requests");
-    let batches_before = counter("serve.batches");
-    let wait_before = lash_obs::global()
-        .histogram("serve.queue.wait_us")
-        .snapshot();
 
     // Reference digests, untimed, from a separate process.
     let (mut reference_digest, grown_digest) = reference_in_child(args)?;
@@ -469,15 +499,12 @@ pub fn run(spec: &Spec, args: &Args, run_dir: &Path) -> Result<Outcome, String> 
     let mut setup_s = Vec::new();
     let mut mines = Mines::default();
     let mut fixed = Fixed::default();
+    let mut refreshes = Refreshes::default();
     let mut pool = None;
-    let mut kept: Option<(Daemon, Vec<Vec<ItemId>>)> = None;
-    for cycle in 0..SETUPS {
-        if let Some((old, _)) = kept.take() {
-            old.retire();
-        }
+    for cycle in 0..spec.cycles {
         let (daemon, chunks) = phases.run("setup", || {
             let started = Instant::now();
-            let dir = run_dir.join(format!("setup-{cycle}"));
+            let dir = run_dir.join(format!("cycle-{cycle}"));
             let out = set_up(spec, &params, args.seed, dir, &tracer)?;
             setup_s.push(started.elapsed().as_secs_f64());
             Ok(out)
@@ -491,8 +518,6 @@ pub fn run(spec: &Spec, args: &Args, run_dir: &Path) -> Result<Outcome, String> 
         });
         phases.run("mine", || {
             mine_cycle(
-                spec,
-                args,
                 &params,
                 &daemon,
                 reference_digest,
@@ -501,6 +526,7 @@ pub fn run(spec: &Spec, args: &Args, run_dir: &Path) -> Result<Outcome, String> 
                 &mut ledger,
             )
         })?;
+        // Every cycle's base corpus, and so its index, is the same.
         let pool = match &pool {
             Some(pool) => Arc::clone(pool),
             None => pool
@@ -510,78 +536,53 @@ pub fn run(spec: &Spec, args: &Args, run_dir: &Path) -> Result<Outcome, String> 
         phases.run("serve", || {
             fixed_window(spec, args, &daemon, &pool, &mut fixed, &mut ledger)
         })?;
-        kept = Some((daemon, chunks));
+        if tracer.enabled() && cycle + 1 == spec.cycles {
+            let result = mines.last.as_ref().expect("at least one mine");
+            phases.run("mine", || {
+                store_and_index_probes(
+                    &daemon,
+                    result,
+                    reference_digest,
+                    &tracer,
+                    run_dir,
+                    &mut report,
+                    &mut ledger,
+                )
+            })?;
+            phases.run("serve", || {
+                serve_probes(
+                    spec,
+                    args,
+                    &daemon,
+                    &pool,
+                    &fixed,
+                    &tracer,
+                    &mut report,
+                    &mut ledger,
+                )
+            })?;
+        }
+        phases.run("refresh", || {
+            refresh_rounds(
+                spec,
+                args.seed,
+                daemon,
+                chunks,
+                grown_digest,
+                &pool,
+                &tracer,
+                &mut refreshes,
+                &mut ledger,
+            )
+        })?;
+        phases.end_cycle();
+        rss::release_free_memory();
     }
-    let (daemon, chunks) = kept.expect("at least one set-up");
-    let pool = pool.expect("at least one set-up");
     report.set("setup_s", median(&setup_s), "s");
-    let result = mines.report(&mut report);
+    mines.report(&mut report);
     fixed.report(&mut report);
-    let requests = counter("serve.requests") - requests_before;
-    let batches = counter("serve.batches") - batches_before;
-    report.set(
-        "serve.batch_size_mean",
-        requests as f64 / batches.max(1) as f64,
-        "count",
-    );
-    let wait = histogram_delta("serve.queue.wait_us", &wait_before);
-    report.set("serve.queue_wait_p50_us", wait.percentile(0.5) as f64, "us");
-    report.set(
-        "serve.queue_wait_p99_us",
-        wait.percentile(0.99) as f64,
-        "us",
-    );
-
-    phases.run("mine", || {
-        store_and_index_probes(
-            &daemon,
-            &result,
-            reference_digest,
-            &tracer,
-            run_dir,
-            &mut report,
-            &mut ledger,
-        )
-    })?;
-    phases.run("serve", || {
-        serve_probes(
-            spec,
-            args,
-            &daemon,
-            &pool,
-            &fixed,
-            &tracer,
-            &mut report,
-            &mut ledger,
-        )
-    })?;
-    phases.run("refresh", || {
-        refresh_phase(
-            spec,
-            args.seed,
-            daemon,
-            chunks,
-            grown_digest,
-            &pool,
-            &tracer,
-            &mut report,
-            &mut ledger,
-        )
-    })?;
-    for (name, _, mb) in &phases.0 {
-        report.set(&format!("rss.{name}_mb"), *mb, "MB");
-    }
-    let peaks: Vec<f64> = phases.0.iter().map(|p| p.2).collect();
-    report.set("peak_rss_mb", max(&peaks), "MB");
-    eprintln!(
-        "perfbench: {}",
-        phases
-            .0
-            .iter()
-            .map(|(name, d, mb)| format!("{name} {:.1} s {mb:.0} MB", d.as_secs_f64()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    refreshes.report(spec, &mut report);
+    phases.report(&mut report);
 
     report.set(
         "serve.error_replies",
@@ -627,14 +628,11 @@ struct Mines {
 }
 
 /// One cycle's timed cold mines: `CorpusReader::open` →
-/// `CorpusReader::mine` → patterns in hand, with the server idle. At
-/// least one, and more while the cycle's share of the mine budget lasts.
-/// The traced run mines once per cycle, untraced and traced in turn: the
-/// difference of their medians is the tracing overhead.
-#[allow(clippy::too_many_arguments)]
+/// `CorpusReader::mine` → patterns in hand, with the server idle,
+/// [`MINES_PER_CYCLE`] of them. The traced run mines once per cycle,
+/// untraced and traced in turn: the difference of their medians is the
+/// tracing overhead.
 fn mine_cycle(
-    spec: &Spec,
-    args: &Args,
     params: &GsmParams,
     daemon: &Daemon,
     reference_digest: u64,
@@ -644,9 +642,7 @@ fn mine_cycle(
 ) -> Result<(), String> {
     let lash = Lash::default();
     let dir = &daemon.corpus_dir;
-    let budget = Duration::from_secs_f64(args.seconds * spec.mine_share / SETUPS as f64);
-    let started = Instant::now();
-    loop {
+    for _ in 0..MINES_PER_CYCLE {
         let i = mines.mine_s.len() + mines.traced_s.len();
         let traced = tracer.enabled() && i % 2 == 1;
         tracer.attach(traced);
@@ -683,7 +679,7 @@ fn mine_cycle(
         mines.shuffle_ms.push(ms(result.mine_metrics.shuffle_time));
         mines.reduce_ms.push(ms(result.mine_metrics.reduce_time));
         mines.last = Some(result);
-        if tracer.enabled() || started.elapsed() >= budget {
+        if tracer.enabled() {
             break;
         }
     }
@@ -692,8 +688,8 @@ fn mine_cycle(
 }
 
 impl Mines {
-    /// Reports the mine figures; returns the last mine's result.
-    fn report(&mut self, report: &mut Report) -> LashResult {
+    /// Reports the mine figures; counts come from the last mine.
+    fn report(&self, report: &mut Report) {
         report.set("mine_s", median(&self.mine_s), "s");
         report.set("mine.samples", self.mine_s.len() as f64, "count");
         let untraced = median(&self.mine_s);
@@ -720,7 +716,7 @@ impl Mines {
             self.blocks_pruned as f64 / (self.blocks_decoded + self.blocks_pruned).max(1) as f64,
             "ratio",
         );
-        let result = self.last.take().expect("at least one mine");
+        let result = self.last.as_ref().expect("at least one mine");
         let c = &result.mine_metrics.counters;
         report.set(
             "mapreduce.map_output_bytes",
@@ -749,7 +745,6 @@ impl Mines {
         );
         report.set("core.partitions", result.num_partitions as f64, "count");
         report.set("core.patterns", result.patterns().len() as f64, "count");
-        result
     }
 }
 
@@ -857,6 +852,11 @@ struct Fixed {
     completed: u64,
     failed: u64,
     invalid: usize,
+    /// Server-side registry deltas over the windows: requests, batches,
+    /// and queue waits.
+    requests: u64,
+    batches: u64,
+    queue_wait: Option<lash_obs::HistogramSnapshot>,
 }
 
 /// One cycle's window at the fixed offered rate; a window the generator
@@ -869,11 +869,16 @@ fn fixed_window(
     fixed: &mut Fixed,
     ledger: &mut Ledger,
 ) -> Result<(), String> {
-    let secs = (args.seconds * spec.fixed_share / SETUPS as f64).max(0.5);
+    let secs = (args.seconds * FIXED_SHARE / spec.cycles as f64).max(MIN_WINDOW_SECS);
     let addr = daemon.server.local_addr();
     loop {
         let window = (fixed.p50_us.len() + fixed.invalid) as u64;
         let seed = args.seed.wrapping_mul(64).wrapping_add(window);
+        let requests = counter("serve.requests");
+        let batches = counter("serve.batches");
+        let wait = lash_obs::global()
+            .histogram("serve.queue.wait_us")
+            .snapshot();
         let (load, from, to) = load_for(addr, pool, FIXED_RATE, secs, seed)?;
         ledger.load(&load);
         let late = load.late_us(from, to);
@@ -902,6 +907,19 @@ fn fixed_window(
         fixed.offered += load.offered();
         fixed.completed += load.completed();
         fixed.failed += load.failed();
+        fixed.requests += counter("serve.requests") - requests;
+        fixed.batches += counter("serve.batches") - batches;
+        let wait = histogram_delta("serve.queue.wait_us", &wait);
+        match &mut fixed.queue_wait {
+            None => fixed.queue_wait = Some(wait),
+            Some(sum) => {
+                sum.count += wait.count;
+                sum.sum += wait.sum;
+                for (s, w) in sum.buckets.iter_mut().zip(wait.buckets.iter()) {
+                    *s += w;
+                }
+            }
+        }
         let service = daemon.lifecycle.service();
         check_samples(ledger, &service, pool, &load.samples, "fixed-rate window");
         return Ok(());
@@ -920,6 +938,14 @@ impl Fixed {
         report.set("loadgen.late_p99_us", quantile(&self.late_us, 0.99), "us");
         report.set("loadgen.offered", self.offered as f64, "count");
         report.set("loadgen.completed", self.completed as f64, "count");
+        report.set(
+            "serve.batch_size_mean",
+            self.requests as f64 / self.batches.max(1) as f64,
+            "count",
+        );
+        let wait = |q| self.queue_wait.as_ref().map_or(0, |w| w.percentile(q)) as f64;
+        report.set("serve.queue_wait_p50_us", wait(0.5), "us");
+        report.set("serve.queue_wait_p99_us", wait(0.99), "us");
     }
 }
 
@@ -1037,11 +1063,57 @@ fn serve_probes(
     Ok(())
 }
 
-/// Ingest → refresh rounds under open-loop load; `chunks` are the
-/// sequences to ingest, `grown_digest` the reference digest of the corpus
-/// after the last round.
+/// Refresh rounds gathered across the cycles.
+#[derive(Default)]
+struct Refreshes {
+    refresh_s: Vec<f64>,
+    round_ms: Vec<f64>,
+    ingest_ms: Vec<f64>,
+    /// Per round, the p99 of queries due while it ran.
+    query_p99_us: Vec<f64>,
+    sealed_bytes: u64,
+    ingested_bytes: u64,
+    /// Per compacting round, the time compaction took.
+    compact_ms: Vec<f64>,
+    compact_bytes_in: u64,
+    compact_bytes_out: u64,
+    throttled: usize,
+    /// Generations in the last cycle's store after its rounds.
+    generations: usize,
+}
+
+impl Refreshes {
+    fn report(&self, spec: &Spec, report: &mut Report) {
+        report.set("refresh_s", median(&self.refresh_s), "s");
+        report.set("refresh.rounds", self.refresh_s.len() as f64, "count");
+        report.set("serve.round_ms", median(&self.round_ms), "ms");
+        report.set("store.ingest_ms", median(&self.ingest_ms), "ms");
+        report.set("refresh_query_p99_us", median(&self.query_p99_us), "us");
+        report.set("store.compact_ms", median(&self.compact_ms), "ms");
+        report.set(
+            "store.compact_throttled_rounds",
+            self.throttled as f64,
+            "count",
+        );
+        report.set(
+            "store.compact_bytes_in",
+            self.compact_bytes_in as f64 / spec.cycles as f64,
+            "bytes",
+        );
+        report.set(
+            "store.write_amp",
+            (self.sealed_bytes + self.compact_bytes_out) as f64 / self.ingested_bytes.max(1) as f64,
+            "ratio",
+        );
+        report.set("store.generations", self.generations as f64, "count");
+    }
+}
+
+/// One cycle's ingest → refresh rounds under open-loop load, after which
+/// the daemon is shut down; `chunks` are the sequences to ingest,
+/// `grown_digest` the reference digest of the corpus after the last round.
 #[allow(clippy::too_many_arguments)]
-fn refresh_phase(
+fn refresh_rounds(
     spec: &Spec,
     seed: u64,
     daemon: Daemon,
@@ -1049,41 +1121,43 @@ fn refresh_phase(
     grown_digest: u64,
     pool: &Arc<Vec<Query>>,
     tracer: &Tracer,
-    report: &mut Report,
+    refreshes: &mut Refreshes,
     ledger: &mut Ledger,
 ) -> Result<(), String> {
+    let service = daemon.lifecycle.service();
     let Daemon {
-        dir: _,
+        dir,
         corpus_dir,
         mut lifecycle,
         server,
     } = daemon;
-    let service = lifecycle.service();
     let stored = |dir: &Path| -> Result<(u64, usize), String> {
         let reader = CorpusReader::open(dir).map_err(|e| format!("open store: {e}"))?;
         let bytes = reader.generations().iter().map(|g| g.payload_bytes()).sum();
         Ok((bytes, reader.num_generations()))
     };
-    let running = loadgen::start(server.local_addr(), Arc::clone(pool), REFRESH_RATE, seed)
-        .map_err(|e| format!("load connect: {e}"))?;
+    let running = loadgen::start(
+        server.local_addr(),
+        Arc::clone(pool),
+        spec.refresh_rate,
+        seed,
+    )
+    .map_err(|e| format!("load connect: {e}"))?;
     std::thread::sleep(Duration::from_millis(200));
-    let (mut refresh_s, mut round_ms, mut ingest_ms) = (Vec::new(), Vec::new(), Vec::new());
     let mut windows = Vec::new();
-    let (mut sealed_bytes, mut ingested_bytes) = (0u64, 0u64);
-    let mut compaction = lash_store::CompactionStats::default();
-    let (mut compacted, mut throttled) = (0, 0);
+    let mut compacted = 0;
     let mut expected = CorpusReader::open(&corpus_dir)
         .map_err(|e| format!("open store: {e}"))?
         .manifest()
         .num_sequences;
     for (round, chunk) in chunks.chunks(spec.chunk).enumerate() {
         let chunk: Vec<&[ItemId]> = chunk.iter().map(Vec::as_slice).collect();
-        ingested_bytes += chunk.iter().map(|s| 4 * s.len() as u64).sum::<u64>();
+        refreshes.ingested_bytes += chunk.iter().map(|s| 4 * s.len() as u64).sum::<u64>();
         let (bytes_before, _) = stored(&corpus_dir)?;
         let t0_ns = running.now_ns();
         let (ingested, ingest_d) = tracer.call("bench.serve.ingest", || lifecycle.ingest(chunk));
         let (bytes_after, _) = stored(&corpus_dir)?;
-        sealed_bytes += bytes_after.saturating_sub(bytes_before);
+        refreshes.sealed_bytes += bytes_after.saturating_sub(bytes_before);
         let (stats, round_d) = tracer.call("bench.serve.refresh", || lifecycle.refresh());
         windows.push((t0_ns, running.now_ns()));
         ledger.attempted += 1;
@@ -1103,9 +1177,9 @@ fn refresh_phase(
             }
         };
         // Freshness: the two calls, without the bookkeeping between them.
-        refresh_s.push((ingest_d + round_d).as_secs_f64());
-        round_ms.push(ms(round_d));
-        ingest_ms.push(ms(ingest_d));
+        refreshes.refresh_s.push((ingest_d + round_d).as_secs_f64());
+        refreshes.round_ms.push(ms(round_d));
+        refreshes.ingest_ms.push(ms(ingest_d));
         let live = service.snapshot().num_patterns();
         ledger.check(
             stats.sequences == expected && live == stats.patterns,
@@ -1118,12 +1192,12 @@ fn refresh_phase(
         );
         if let Some(c) = &stats.compaction {
             compacted += 1;
-            compaction.elapsed += c.elapsed;
+            refreshes.compact_ms.push(ms(c.elapsed));
             if !c.throttle_wait.is_zero() {
-                throttled += 1;
+                refreshes.throttled += 1;
             }
-            compaction.payload_bytes_in += c.payload_bytes_in;
-            compaction.payload_bytes_out += c.payload_bytes_out;
+            refreshes.compact_bytes_in += c.payload_bytes_in;
+            refreshes.compact_bytes_out += c.payload_bytes_out;
         }
     }
     // A quiet tail on the final snapshot, for the served-reply check.
@@ -1140,30 +1214,12 @@ fn refresh_phase(
         .cloned()
         .collect();
     check_samples(ledger, &service, pool, &tail, "refresh tail");
-
-    report.set("refresh_s", median(&refresh_s), "s");
-    report.set("refresh.rounds", refresh_s.len() as f64, "count");
-    report.set("serve.round_ms", median(&round_ms), "ms");
-    report.set("store.ingest_ms", median(&ingest_ms), "ms");
-    let tails: Vec<f64> = windows
-        .iter()
-        .map(|&(from, to)| quantile(&load.latencies_us(from, to), 0.99))
-        .collect();
-    report.set("refresh_query_p99_us", median(&tails), "us");
-    report.set("store.compact_ms", ms(compaction.elapsed), "ms");
-    report.set("store.compact_throttled_rounds", throttled as f64, "count");
-    report.set(
-        "store.compact_bytes_in",
-        compaction.payload_bytes_in as f64,
-        "bytes",
+    refreshes.query_p99_us.extend(
+        windows
+            .iter()
+            .map(|&(from, to)| quantile(&load.latencies_us(from, to), 0.99)),
     );
-    report.set(
-        "store.write_amp",
-        (sealed_bytes + compaction.payload_bytes_out) as f64 / ingested_bytes.max(1) as f64,
-        "ratio",
-    );
-    let (_, generations) = stored(&corpus_dir)?;
-    report.set("store.generations", generations as f64, "count");
+    refreshes.generations = stored(&corpus_dir)?.1;
     if spec.rounds >= 4 {
         ledger.check(compacted > 0, || "no refresh round compacted".into());
     }
@@ -1174,5 +1230,7 @@ fn refresh_phase(
     ledger.check(live == grown_digest, || {
         format!("live index after refresh ({n} patterns) differs from the in-memory mine")
     });
+    drop((lifecycle, service));
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
